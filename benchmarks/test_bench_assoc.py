@@ -23,7 +23,6 @@ import pytest
 
 from repro.cache.assoc import miss_mask_assoc
 from repro.cache.assoc_vec import miss_mask_assoc_vec
-from repro.cache.direct import miss_mask_direct
 
 N = 1_000_000
 SIZE = 16 * 1024  # the Section 6.1 L1
@@ -59,9 +58,9 @@ def _refs_per_sec(benchmark, n: int) -> None:
 
 
 def test_bench_direct_mapped(benchmark):
-    """Baseline: the sort-based direct-mapped simulator."""
+    """Baseline: the direct-mapped case (the vectorized kernel at k=1)."""
     trace = resonant_trace()
-    mask = benchmark(miss_mask_direct, trace, SIZE, LINE)
+    mask = benchmark(miss_mask_assoc_vec, trace, SIZE, LINE, 1)
     assert mask.all()  # 3-array resonance: every access conflicts
     _refs_per_sec(benchmark, trace.size)
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro import DataLayout, ultrasparc_i
-from repro.cache.direct import miss_mask_direct
+from repro.cache.assoc_vec import miss_mask_assoc_vec
 from repro.cache.streaming import StreamingHierarchy
 from repro.kernels import expl, jacobi
 from repro.trace.generator import generate_trace, program_trace_chunks
@@ -24,7 +24,9 @@ def random_trace():
 
 
 def test_bench_direct_mapped_2m_refs(benchmark, random_trace):
-    misses = benchmark(miss_mask_direct, random_trace, HIER.l1.size, HIER.l1.line_size)
+    misses = benchmark(
+        miss_mask_assoc_vec, random_trace, HIER.l1.size, HIER.l1.line_size, 1
+    )
     assert misses.sum() > 0
 
 

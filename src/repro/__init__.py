@@ -4,7 +4,7 @@ Multi-Level Caches* (SC '99).
 The package implements, from scratch, every system the paper relies on:
 
 * :mod:`repro.cache` -- a trace-driven multi-level cache simulator
-  (vectorized direct-mapped + set-associative LRU);
+  (one vectorized LRU kernel; a direct-mapped level is its 1-way case);
 * :mod:`repro.ir` -- a mini-Fortran loop-nest IR with affine subscripts;
 * :mod:`repro.trace` -- lowering IR programs to address traces;
 * :mod:`repro.layout` -- base addresses, pads, conflict detection and the

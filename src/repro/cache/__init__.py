@@ -7,14 +7,13 @@ sees every reference, and each lower level sees only the miss stream of the
 level above it.  Miss rates are reported relative to the *total* number of
 references, matching the paper's normalization.
 
-Both production simulators are fully vectorized with NumPy: the
-direct-mapped model uses a sort-based previous-occurrence comparison and
-the k-way LRU model (:mod:`repro.cache.assoc_vec`) a set-grouped
-stack-distance classification, so full-program traces of tens of millions
-of references simulate in seconds either way.  A sequential
-one-access-at-a-time LRU model (:mod:`repro.cache.assoc`) is kept as the
-ground-truth oracle the vectorized paths are property-tested against.
-See ``docs/simulators.md`` for the three families and when each is used.
+One production kernel classifies every level: the vectorized k-way LRU
+model of :mod:`repro.cache.assoc_vec` (a direct-mapped cache is its
+1-way case), so full-program traces of tens of millions of references
+simulate in seconds.  A sequential one-access-at-a-time LRU model
+(:mod:`repro.cache.assoc`) is kept as the ground-truth oracle the
+vectorized kernel is property-tested against.  See ``docs/simulators.md``
+for both.
 """
 
 from repro.cache.config import (
@@ -23,7 +22,6 @@ from repro.cache.config import (
     alpha_21164,
     ultrasparc_i,
 )
-from repro.cache.direct import simulate_direct
 from repro.cache.assoc import simulate_assoc
 from repro.cache.assoc_vec import AssocLRUState, miss_mask_assoc_vec, simulate_assoc_vec
 from repro.cache.hierarchy import CacheHierarchy
@@ -42,7 +40,6 @@ __all__ = [
     "CacheHierarchy",
     "LevelStats",
     "SimulationResult",
-    "simulate_direct",
     "simulate_assoc",
     "simulate_assoc_vec",
     "miss_mask_assoc_vec",

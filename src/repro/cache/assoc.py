@@ -4,17 +4,16 @@ The paper treats all caches as direct-mapped and notes that "simply
 treating k-way associative caches as direct-mapped for locality
 optimizations achieves nearly all the benefits."  We nevertheless provide a
 k-way LRU simulator: it serves as the ground-truth model the vectorized
-simulators are validated against (associativity 1 must agree exactly with
-:mod:`repro.cache.direct`, and :mod:`repro.cache.assoc_vec` must agree for
-every k), and it lets users measure how much associativity would have
+simulator is validated against (:mod:`repro.cache.assoc_vec` must agree
+exactly for every k, associativity 1 -- the paper's direct-mapped caches --
+included), and it lets users measure how much associativity would have
 changed the paper's miss rates.
 
 This model replays the trace one access at a time in Python.  It is the
 *reference* implementation: deliberately simple, obviously correct, and
 slow.  Production paths — full-size experiments and the ``ext_assoc``
-sweeps — use :mod:`repro.cache.direct` for direct-mapped levels and
-:mod:`repro.cache.assoc_vec` for k-way levels; both are property-tested
-against this module.
+sweeps — use :mod:`repro.cache.assoc_vec` for every level, direct-mapped
+or k-way; it is property-tested against this module.
 """
 
 from __future__ import annotations

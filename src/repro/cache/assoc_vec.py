@@ -1,10 +1,10 @@
 """Vectorized set-associative LRU cache simulation.
 
 The sequential reference model (:mod:`repro.cache.assoc`) replays the
-trace one access at a time in Python, which makes k-way sweeps ~100x
-slower than the direct-mapped simulator and blocks full-size Table 1
-experiments on associative hierarchies.  This module classifies the same
-accesses with NumPy segment operations instead:
+trace one access at a time in Python, far too slow for full-size Table 1
+experiments.  This module classifies the same accesses with NumPy
+segment operations instead, and is the simulator's only production
+kernel: a direct-mapped level is simply its ``k = 1`` case.
 
 1. **Adjacent-repeat collapse.**  An access to the line accessed
    immediately before it is a guaranteed LRU hit at any associativity and
@@ -14,10 +14,9 @@ accesses with NumPy segment operations instead:
 2. **Set decomposition by packed-key sort.**  Each access is packed into
    one integer ``(set << idx_bits) | position``; because positions make
    the keys unique, an ordinary quicksort of the packed keys *is* the
-   stable grouping by set (the same decomposition
-   :class:`~repro.cache.streaming.StreamingDirectCache` reaches through a
-   stable argsort, at a fraction of the cost -- and in 32-bit keys when
-   the chunk is small enough).  A second collapse then removes same-line
+   stable grouping by set (what a stable argsort by set computes, at a
+   fraction of the cost -- and in 32-bit keys when the chunk is small
+   enough).  A second collapse then removes same-line
    repeats that are adjacent within a set, so consecutive surviving
    *events* of a set always name different lines.
 3. **Carried state as virtual events.**  The persistent LRU stack of
@@ -47,6 +46,12 @@ import numpy as np
 
 from repro.errors import SimulationError
 
+#: Largest line number the narrow (int32) pipeline can carry.
+_INT32_TOP = np.iinfo(np.int32).max - 1
+
+#: Grouping sorts up to this many keys use a plain stable argsort.
+_SMALL_SORT = 256
+
 __all__ = ["miss_mask_assoc_vec", "simulate_assoc_vec", "AssocLRUState"]
 
 
@@ -72,10 +77,15 @@ def _packed_group_sort(values: np.ndarray, value_bits: int) -> tuple[np.ndarray,
     argsort by value, recovered from ``np.sort`` of ``(value << idx_bits)
     | index``.  Unique keys make the unstable sort deterministic, and the
     packed keys drop to 32 bits whenever ``value_bits + idx_bits`` allow,
-    which is several times faster than a stable argsort.
+    which is several times faster than a stable argsort -- except on a
+    few hundred values, where the packing's extra calls cost more than
+    the sort itself and a stable argsort wins.
     """
     m = values.size
     idx_bits = max(1, (m - 1).bit_length())
+    if m <= _SMALL_SORT:
+        order = np.argsort(values, kind="stable")
+        return values[order], order
     if value_bits + idx_bits <= 31:
         key = (values.astype(np.int32, copy=False) << np.int32(idx_bits)) | np.arange(
             m, dtype=np.int32
@@ -88,7 +98,8 @@ def _packed_group_sort(values: np.ndarray, value_bits: int) -> tuple[np.ndarray,
         order = np.argsort(values, kind="stable")
         return values[order], order
     key = np.sort(key)
-    positions = key & ((1 << idx_bits) - 1)
+    # Positions index other arrays: intp spares every gather an index cast.
+    positions = np.bitwise_and(key, (1 << idx_bits) - 1, dtype=np.intp)
     return key >> idx_bits, positions
 
 
@@ -106,7 +117,7 @@ def _run_last(rid: np.ndarray) -> np.ndarray:
     tail = np.empty(rid.size, dtype=bool)
     tail[-1] = True
     np.not_equal(rid[1:], rid[:-1], out=tail[:-1])
-    return np.nonzero(tail)[0]
+    return tail.nonzero()[0]
 
 
 def _classify_events(
@@ -147,15 +158,15 @@ def _classify_events(
     # Ways 1 and 2 live on the full domain, where every run is present in
     # order: run boundaries come straight from ``efirst`` and the final
     # stack columns are plain gathers at each run's last event.
-    rs = np.nonzero(efirst)[0]
+    rs = efirst.nonzero()[0]
     lastpos = np.empty(num_runs, dtype=np.int64)
     lastpos[:-1] = rs[1:] - 1
     lastpos[-1] = nE - 1
-    B1 = _shift_one(el, efirst)
     stack[:, 0] = el[lastpos]
     if k == 1:
         # Consecutive events of a run always differ: every event misses.
         return ep, stack
+    B1 = _shift_one(el, efirst)
     B2 = _shift_one(B1, efirst)
     stack[:, 1] = B1[lastpos]
     alive = el != B2
@@ -164,9 +175,9 @@ def _classify_events(
 
     # Deeper ways on shrinking domains; runs can drop out entirely, so
     # track run ids and scatter the per-run stack columns.
-    if not alive.any():
+    if not np.count_nonzero(alive):
         return ep[alive], stack
-    rid = np.cumsum(efirst, dtype=np.int32)
+    rid = np.cumsum(efirst, dtype=np.intp)
     rid -= 1
     cel = el[alive]
     cep = ep[alive]
@@ -180,7 +191,7 @@ def _classify_events(
         lastpos = _run_last(crid)
         stack[crid[lastpos], w - 1] = cB[lastpos]
         alive = cel != Bw
-        if w == k or not alive.any():
+        if w == k or not np.count_nonzero(alive):
             # Survivors of the last level are the misses; an empty domain
             # earlier means the deeper ways were never filled (-1 stands).
             cep = cep[alive]
@@ -211,18 +222,14 @@ class AssocLRUState:
         self.line_size = line_size
         self.associativity = associativity
         self.stack = np.full((self.num_sets, associativity), -1, dtype=np.int64)
-
-    def _preamble(self, present: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Virtual (sets, lines) replaying the stacks of ``present`` sets.
-
-        Within a set the lines come oldest (LRU) first, so replaying them
-        before the chunk's real events reconstructs the stack exactly.
-        """
-        stacks = self.stack[present]  # (P, k), MRU first
-        lru_first = stacks[:, ::-1].ravel()
-        sets = np.repeat(present, self.associativity)
-        valid = lru_first >= 0
-        return sets[valid], lru_first[valid]
+        self._set_bits = max(1, (self.num_sets - 1).bit_length())
+        # Scratch set marks for ``feed``'s touched-set scan, all False
+        # between calls (an O(chunk) scatter, not an O(num_sets) count).
+        self._mark = np.zeros(self.num_sets, dtype=bool)
+        # Largest line number ever stored in ``stack``, -1 while it is
+        # empty: a running bound (and warm flag) that spares every
+        # ``feed`` a reduction over the whole matrix.
+        self._top = -1
 
     def feed(self, addresses: np.ndarray) -> np.ndarray:
         """Classify one chunk; returns its miss mask and updates the stack."""
@@ -242,8 +249,8 @@ class AssocLRUState:
         # Line numbers (and everything derived from them) fit 32 bits for
         # any address space below 2^31 * line_size; the narrow pipeline
         # halves memory traffic and allocation cost on the hot path.
-        top = max(int(addresses.max()) // self.line_size, int(self.stack.max()))
-        dtype = np.int32 if top <= np.iinfo(np.int32).max - 1 else np.int64
+        top = max(int(addresses.max()) // self.line_size, self._top)
+        dtype = np.int32 if top <= _INT32_TOP else np.int64
         lines = np.empty(n, dtype=dtype)
         if self.line_size & (self.line_size - 1) == 0:
             np.right_shift(
@@ -255,8 +262,6 @@ class AssocLRUState:
         else:
             np.floor_divide(addresses, self.line_size, out=lines, casting="unsafe")
 
-        miss = np.zeros(n, dtype=bool)
-
         # 1. Adjacent same-line repeats are hits at any associativity and
         # are also caught by the in-set collapse below, so compact here
         # only when it shrinks the sort meaningfully.
@@ -264,7 +269,7 @@ class AssocLRUState:
         keep[0] = True
         np.not_equal(lines[1:], lines[:-1], out=keep[1:])
         if np.count_nonzero(keep) <= (n - (n >> 2)):
-            surv_idx = np.nonzero(keep)[0]
+            surv_idx = keep.nonzero()[0]
             slines = lines[surv_idx]
         else:
             surv_idx = None
@@ -274,39 +279,44 @@ class AssocLRUState:
         else:
             ssets = slines % nsets
 
-        # 2. Prepend the carried stacks of the sets this chunk touches.
-        # A cold cache (every way-0 slot empty) has nothing to replay, so
+        # 2. Prepend the carried stacks of the sets this chunk touches,
+        # oldest (LRU) way first: replaying them before the chunk's real
+        # events reconstructs each stack exactly.  Empty ways replay as
+        # line -1, which no real line matches: a no-op event.  A cold
+        # cache (nothing stored yet) has nothing to replay, so
         # ``present`` can wait until the grouping sort hands it over for
-        # free -- bincount on a large chunk is a measurable cost.
-        if bool((self.stack[:, 0] >= 0).any()):
-            present = np.nonzero(np.bincount(ssets, minlength=nsets))[0]
-            pre_sets, pre_lines = self._preamble(present)
+        # free -- the touched-set scan on a large chunk is a measurable
+        # cost.
+        if self._top >= 0:
+            mark = self._mark
+            mark[ssets.astype(np.intp)] = True
+            present = mark.nonzero()[0]
+            mark[present] = False
+            ext_sets = np.concatenate((np.repeat(present, k), ssets), dtype=dtype)
+            ext_lines = np.concatenate(
+                (self.stack[present, ::-1].ravel(), slines), dtype=dtype
+            )
         else:
             present = None
-            pre_sets = pre_lines = np.empty(0, dtype=np.int64)
-        npre = pre_sets.size
-        if npre:
-            # Cast the (tiny) virtual arrays so the concatenation keeps
-            # the narrow pipeline dtype.
-            ext_sets = np.concatenate([pre_sets.astype(dtype), ssets])
-            ext_lines = np.concatenate([pre_lines.astype(dtype), slines])
-        else:
-            ext_sets = ssets
-            ext_lines = slines
+            ext_sets, ext_lines = ssets, slines
+        npre = ext_lines.size - slines.size
 
         # 3. Group by set, program order inside each run (virtual first).
-        ss, pos = _packed_group_sort(ext_sets, max(1, (nsets - 1).bit_length()))
+        ss, pos = _packed_group_sort(ext_sets, self._set_bits)
         ls = ext_lines[pos]
 
         m = ls.size
         first = np.empty(m, dtype=bool)
         first[0] = True
         np.not_equal(ss[1:], ss[:-1], out=first[1:])
-        dup = np.zeros(m, dtype=bool)
+        # A repeat never straddles a run boundary (equal real lines share
+        # a set, and a run's leading -1 follows the previous run's last
+        # line, always a real one): same-set same-line repeats are MRU
+        # hits, the rest are events.
+        dup = np.empty(m, dtype=bool)
+        dup[0] = False
         np.equal(ls[1:], ls[:-1], out=dup[1:])
-        dup &= ~first
-        # Same-set same-line repeats are MRU hits; the rest are events.
-        if dup.any():
+        if np.count_nonzero(dup):
             evt = ~dup
             el = ls[evt]
             ep = pos[evt]
@@ -319,19 +329,22 @@ class AssocLRUState:
         # contributes at least one event: its first survivor, or its
         # preamble).
         if present is None:
-            present = ss[np.nonzero(first)[0]]
+            present = ss[first].astype(np.intp)
 
         mp, stacks = _classify_events(el, ep, efirst, present.size, k)
         self.stack[present] = stacks
+        self._top = top
 
-        # 4. Scatter real (non-preamble) misses to original positions.
-        if npre:
-            mp = mp[mp >= npre] - npre
-        if surv_idx is not None:
-            miss[surv_idx[mp]] = True
-        else:
-            miss[mp] = True
-        return miss
+        # 4. Scatter misses to original positions; the virtual preamble
+        # occupies the first ``npre`` slots and is dropped.
+        miss = np.zeros(ext_lines.size, dtype=bool)
+        miss[mp] = True
+        miss = miss[npre:]
+        if surv_idx is None:
+            return miss
+        out = np.zeros(n, dtype=bool)
+        out[surv_idx] = miss
+        return out
 
 
 def miss_mask_assoc_vec(

@@ -5,27 +5,23 @@ the full reference stream; each lower level sees exactly the stream of
 references that missed the level above (a blocking, no-prefetch,
 write-allocate-agnostic model -- reads and writes are both just
 "references", as in the paper's simulations).
+
+:class:`CacheHierarchy` is the whole-trace form of
+:class:`repro.cache.streaming.StreamingHierarchy`: it feeds the trace as
+one chunk through the same per-level classifiers.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.cache.assoc_vec import miss_mask_assoc_vec
-from repro.cache.config import CacheConfig, HierarchyConfig
-from repro.cache.direct import miss_mask_direct
+from repro.cache import streaming
+from repro.cache.config import HierarchyConfig
 from repro.cache.stats import LevelStats, SimulationResult
 from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
 
 __all__ = ["CacheHierarchy"]
-
-
-def _level_miss_mask(addresses: np.ndarray, cfg: CacheConfig) -> np.ndarray:
-    if cfg.is_direct_mapped:
-        return miss_mask_direct(addresses, cfg.size, cfg.line_size)
-    # Vectorized k-way path; exact w.r.t. repro.cache.assoc (the oracle).
-    return miss_mask_assoc_vec(addresses, cfg.size, cfg.line_size, cfg.associativity)
 
 
 class CacheHierarchy:
@@ -53,23 +49,18 @@ class CacheHierarchy:
         """
         addresses = np.asarray(addresses, dtype=np.int64)
         total = int(addresses.size)
-        levels: list[LevelStats] = []
         with get_tracer().span("cache.simulate", cat="cache", refs=total):
-            stream = addresses
-            for cfg in self.config:
-                mask = _level_miss_mask(stream, cfg)
-                levels.append(
-                    LevelStats(
-                        name=cfg.name, accesses=int(stream.size), misses=int(mask.sum())
-                    )
-                )
-                stream = stream[mask]
+            masks = self.miss_masks(addresses)
+        levels = tuple(
+            LevelStats(name=cfg.name, accesses=int(mask.size), misses=int(mask.sum()))
+            for cfg, mask in zip(self.config, masks)
+        )
         m = get_metrics()
         m.counter("cache.refs").inc(total)
         for lv in levels:
             m.counter(f"cache.{lv.name}.accesses").inc(lv.accesses)
             m.counter(f"cache.{lv.name}.misses").inc(lv.misses)
-        return SimulationResult(total_refs=total, levels=tuple(levels))
+        return SimulationResult(total_refs=total, levels=levels)
 
     def miss_masks(self, addresses: np.ndarray) -> list[np.ndarray]:
         """Per-level miss masks, each the length of that level's access stream.
@@ -78,11 +69,10 @@ class CacheHierarchy:
         L1 miss; and so on.  Useful for attributing misses to individual
         references in analyses and tests.
         """
-        addresses = np.asarray(addresses, dtype=np.int64)
+        stream = np.asarray(addresses, dtype=np.int64)
         masks: list[np.ndarray] = []
-        stream = addresses
         for cfg in self.config:
-            mask = _level_miss_mask(stream, cfg)
+            mask = streaming._make_level(cfg).feed(stream)
             masks.append(mask)
             stream = stream[mask]
         return masks

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.cache.assoc_vec import miss_mask_assoc_vec
 from repro.cache.config import CacheConfig
-from repro.cache.direct import miss_mask_direct
 from repro.errors import SimulationError
 
 __all__ = ["reuse_distances", "fully_associative_miss_mask", "MissTaxonomy",
@@ -126,7 +126,7 @@ def classify_misses(addresses: np.ndarray, cache: CacheConfig) -> MissTaxonomy:
     population inter-variable padding exists to eliminate.
     """
     addresses = np.asarray(addresses, dtype=np.int64)
-    dm = miss_mask_direct(addresses, cache.size, cache.line_size)
+    dm = miss_mask_assoc_vec(addresses, cache.size, cache.line_size, 1)
     d = reuse_distances(addresses, cache.line_size)
     capacity_lines = cache.size // cache.line_size
     cold_mask = d < 0  # first touch always misses direct-mapped too

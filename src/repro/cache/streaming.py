@@ -5,14 +5,11 @@ Large programs are traced as a sequence of NumPy chunks
 chunks so whole-program miss counts are identical to simulating the
 concatenated trace, with bounded memory.
 
-For a direct-mapped level the carried state is one tag per set.  Inside a
-chunk the sort-based classification of :mod:`repro.cache.direct` applies;
-only each set's *first* access in the chunk needs the carried tag.
-
-For a k-way level the carried state is a ``(num_sets, k)`` LRU tag matrix
-(:class:`repro.cache.assoc_vec.AssocLRUState`): chunk classification is
-fully vectorized, and the carried stacks are replayed as virtual leading
-accesses so chunked simulation stays byte-identical to one-shot replay.
+Every level, direct-mapped or k-way, carries a ``(num_sets, k)`` LRU tag
+matrix (:class:`repro.cache.assoc_vec.AssocLRUState`; ``k = 1`` for a
+direct-mapped level): chunk classification is fully vectorized, and the
+carried stacks are replayed as virtual leading accesses so chunked
+simulation stays byte-identical to one-shot replay.
 :class:`SequentialAssocCache` keeps the one-access-at-a-time reference
 model around as the oracle the vectorized path is property-tested against.
 """
@@ -39,62 +36,6 @@ __all__ = [
 ]
 
 
-class StreamingDirectCache:
-    """Direct-mapped cache with persistent per-set tags across chunks."""
-
-    def __init__(self, size: int, line_size: int):
-        if line_size <= 0 or size <= 0 or size % line_size != 0:
-            raise SimulationError(
-                f"invalid direct-mapped geometry: size={size}, line_size={line_size}"
-            )
-        self.size = size
-        self.line_size = line_size
-        self.num_sets = size // line_size
-        self._tags = np.full(self.num_sets, -1, dtype=np.int64)
-        self.accesses = 0
-        self.misses = 0
-
-    def feed(self, addresses: np.ndarray) -> np.ndarray:
-        """Classify one chunk; returns its miss mask and updates state."""
-        addresses = np.asarray(addresses, dtype=np.int64)
-        n = addresses.size
-        if n == 0:
-            return np.zeros(0, dtype=bool)
-        if addresses.min() < 0:
-            raise SimulationError("trace contains negative addresses")
-        lines = addresses // self.line_size
-        sets = lines % self.num_sets
-        tags = lines // self.num_sets
-
-        order = np.argsort(sets, kind="stable")
-        sets_s = sets[order]
-        tags_s = tags[order]
-
-        miss_s = np.empty(n, dtype=bool)
-        first = np.empty(n, dtype=bool)
-        first[0] = True
-        first[1:] = sets_s[1:] != sets_s[:-1]
-        # First access per set in this chunk: compare with carried tag.
-        miss_s[first] = self._tags[sets_s[first]] != tags_s[first]
-        # Later accesses: compare with the previous access to the same set.
-        rest = ~first
-        if rest.any():
-            idx = np.nonzero(rest)[0]
-            miss_s[idx] = tags_s[idx] != tags_s[idx - 1]
-
-        # Carry out: last tag per set (the final element of each run).
-        last = np.empty(n, dtype=bool)
-        last[-1] = True
-        last[:-1] = sets_s[1:] != sets_s[:-1]
-        self._tags[sets_s[last]] = tags_s[last]
-
-        miss = np.empty(n, dtype=bool)
-        miss[order] = miss_s
-        self.accesses += n
-        self.misses += int(miss.sum())
-        return miss
-
-
 class StreamingAssocCache:
     """k-way LRU cache with persistent state (vectorized classification).
 
@@ -114,19 +55,32 @@ class StreamingAssocCache:
     def feed(self, addresses: np.ndarray) -> np.ndarray:
         """Classify one chunk; returns its miss mask and updates LRU state.
 
-        Per-chunk timing of the vectorized k-way path lands in the
+        Per-chunk timing of the vectorized classifier (every
+        associativity, direct-mapped included) lands in the
         ``cache.assoc.chunk_seconds`` histogram while a tracer is active.
         """
         tracer = get_tracer()
         t0 = time.perf_counter() if tracer.enabled else 0.0
         miss = self._state.feed(addresses)
         self.accesses += int(miss.size)
-        self.misses += int(miss.sum())
+        self.misses += int(np.count_nonzero(miss))
         if tracer.enabled:
             get_metrics().histogram("cache.assoc.chunk_seconds").observe(
                 time.perf_counter() - t0
             )
         return miss
+
+
+class StreamingDirectCache(StreamingAssocCache):
+    """Direct-mapped cache with persistent state: the 1-way LRU case.
+
+    A direct-mapped cache *is* a 1-way LRU cache, so this is
+    :class:`StreamingAssocCache` at associativity 1; it exists so the
+    level type a hierarchy builds still names the paper's cache model.
+    """
+
+    def __init__(self, size: int, line_size: int):
+        super().__init__(size, line_size, 1)
 
 
 class SequentialAssocCache:

@@ -6,8 +6,8 @@ classified :class:`Divergence` records:
 
 * ``trace`` -- the vectorized trace generator vs. the bounds-checking
   Python interpreter (byte equality of the address stream);
-* ``sim`` -- the production hierarchy simulation (vectorized
-  direct-mapped / k-way paths via :class:`~repro.exec.jobs.SimJob`) vs. a
+* ``sim`` -- the production hierarchy simulation (the vectorized LRU
+  kernel via :class:`~repro.exec.jobs.SimJob`) vs. a
   :class:`~repro.cache.streaming.SequentialAssocCache` oracle hierarchy
   (exact per-level access/miss equality);
 * ``model`` -- the closed-form predictor vs. the simulator, classified

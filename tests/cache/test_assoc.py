@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.cache.assoc import miss_mask_assoc, simulate_assoc
-from repro.cache.direct import miss_mask_direct
 from repro.errors import SimulationError
+from tests.cache.test_direct import naive_direct
 
 
 class TestLRUSemantics:
@@ -14,7 +14,7 @@ class TestLRUSemantics:
         trace = rng.integers(0, 16384, size=3000)
         np.testing.assert_array_equal(
             miss_mask_assoc(trace, 2048, 32, 1),
-            miss_mask_direct(trace, 2048, 32),
+            naive_direct(trace, 2048, 32),
         )
 
     def test_two_way_survives_pingpong(self):

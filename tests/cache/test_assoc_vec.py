@@ -5,6 +5,7 @@ import pytest
 
 from repro.cache import AssocLRUState, miss_mask_assoc_vec, simulate_assoc_vec
 from repro.cache.assoc import miss_mask_assoc, simulate_assoc
+from repro.cache.assoc_vec import _packed_group_sort
 from repro.cache.config import CacheConfig, HierarchyConfig
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.streaming import SequentialAssocCache, StreamingAssocCache
@@ -106,6 +107,17 @@ class TestAssocLRUState:
         np.testing.assert_array_equal(
             got, miss_mask_assoc(addrs, 2048, 64, 4)
         )
+
+
+class TestGroupingSort:
+    @pytest.mark.parametrize("m", [1, 255, 256, 257, 5000])
+    def test_equals_stable_argsort(self, m):
+        """Both sides of the small-input cutover group like a stable argsort."""
+        values = np.random.default_rng(m).integers(0, 64, size=m).astype(np.int32)
+        grouped, positions = _packed_group_sort(values, 6)
+        order = np.argsort(values, kind="stable")
+        np.testing.assert_array_equal(positions, order)
+        np.testing.assert_array_equal(grouped, values[order])
 
 
 class TestIntegration:

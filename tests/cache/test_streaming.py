@@ -8,8 +8,8 @@ from repro.cache.streaming import (
     StreamingAssocCache,
     StreamingDirectCache,
     StreamingHierarchy,
+    _make_level,
 )
-from repro.cache.direct import miss_mask_direct
 from repro.cache.assoc import miss_mask_assoc
 from repro.errors import SimulationError
 
@@ -32,7 +32,7 @@ class TestStreamingDirect:
         cache = StreamingDirectCache(2048, 32)
         parts = [cache.feed(c) for c in chunked(trace, chunks)]
         got = np.concatenate([p for p in parts if p.size])
-        np.testing.assert_array_equal(got, miss_mask_direct(trace, 2048, 32))
+        np.testing.assert_array_equal(got, miss_mask_assoc(trace, 2048, 32, 1))
 
     def test_state_carries_hits_across_chunks(self):
         cache = StreamingDirectCache(1024, 32)
@@ -49,6 +49,16 @@ class TestStreamingDirect:
     def test_invalid_geometry(self):
         with pytest.raises(SimulationError):
             StreamingDirectCache(1000, 32)
+
+    def test_is_the_one_way_lru_level(self):
+        """A direct-mapped level is the vectorized LRU at k=1, ``feed``
+        included: it inherits rather than overrides it."""
+        cache = StreamingDirectCache(1024, 32)
+        assert isinstance(cache, StreamingAssocCache)
+        assert (cache.associativity, cache.num_sets) == (1, 32)
+        assert "feed" not in StreamingDirectCache.__dict__
+        level = _make_level(CacheConfig(size=1024, line_size=32, name="L1"))
+        assert type(level) is StreamingDirectCache
 
 
 class TestStreamingAssoc:

@@ -8,7 +8,7 @@ exact contracts:
 
 * the vectorized k-way LRU path equals the sequential
   :class:`SequentialAssocCache` oracle per reference,
-* ``k=1`` LRU equals the direct-mapped simulator,
+* ``k=1`` LRU equals a one-tag-per-set direct-mapped replay,
 * the full differential harness (:func:`repro.fuzz.diff_case`) finds no
   trace or simulation divergence on any seed -- those two kinds are hard
   bugs by definition.
@@ -20,12 +20,12 @@ from hypothesis import strategies as st
 
 from repro.cache.assoc import miss_mask_assoc
 from repro.cache.assoc_vec import miss_mask_assoc_vec
-from repro.cache.direct import miss_mask_direct
 from repro.cache.streaming import SequentialAssocCache
 from repro.fuzz.generator import FuzzConfig, random_program
 from repro.fuzz.harness import FUZZ_HIERARCHIES, diff_case, oracle_simulate
 from repro.layout.layout import DataLayout
 from repro.trace.generator import generate_trace
+from tests.cache.test_direct import naive_direct
 
 seeds = st.integers(min_value=0, max_value=10**6)
 geometries = st.sampled_from([(512, 32, 1), (1024, 32, 2), (2048, 64, 4),
@@ -70,7 +70,7 @@ class TestVectorizedVsOracleOnFuzzedTraces:
         trace = fuzz_trace(seed)
         np.testing.assert_array_equal(
             miss_mask_assoc_vec(trace, size, line, 1),
-            miss_mask_direct(trace, size, line),
+            naive_direct(trace, size, line),
         )
 
 

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from repro.cache.assoc import miss_mask_assoc
 from repro.cache.assoc_vec import AssocLRUState, miss_mask_assoc_vec
-from repro.cache.direct import miss_mask_direct
 from repro.cache.streaming import SequentialAssocCache, StreamingAssocCache
+from tests.cache.test_direct import naive_direct
 
 # (size, line_size) pairs, including a non-power-of-two size (768) so
 # odd set counts are represented; combos where k does not divide the
@@ -60,7 +60,7 @@ class TestVectorizedEqualsOracle:
         addrs = np.array(trace, dtype=np.int64)
         np.testing.assert_array_equal(
             miss_mask_assoc_vec(addrs, size, line, 1),
-            miss_mask_direct(addrs, size, line),
+            naive_direct(addrs, size, line),
         )
 
 

@@ -5,25 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.assoc import miss_mask_assoc
-from repro.cache.direct import miss_mask_direct
+from repro.cache.assoc_vec import miss_mask_assoc_vec
 from repro.cache.streaming import StreamingDirectCache
+from tests.cache.test_direct import naive_direct
 
 geometries = st.sampled_from(
     [(256, 16), (512, 32), (1024, 32), (2048, 64), (4096, 32)]
 )
 traces = st.lists(st.integers(min_value=0, max_value=1 << 16), max_size=300)
-
-
-def naive_direct(addresses, size, line_size):
-    num_sets = size // line_size
-    tags = {}
-    out = []
-    for a in addresses:
-        line = a // line_size
-        s, t = line % num_sets, line // num_sets
-        out.append(tags.get(s) != t)
-        tags[s] = t
-    return np.array(out, dtype=bool)
 
 
 class TestDirectMapped:
@@ -33,7 +22,8 @@ class TestDirectMapped:
         size, line = geom
         addrs = np.array(trace, dtype=np.int64)
         np.testing.assert_array_equal(
-            miss_mask_direct(addrs, size, line), naive_direct(addrs, size, line)
+            miss_mask_assoc_vec(addrs, size, line, 1),
+            naive_direct(addrs, size, line),
         )
 
     @given(trace=traces, geom=geometries)
@@ -43,7 +33,7 @@ class TestDirectMapped:
         addrs = np.array(trace, dtype=np.int64)
         np.testing.assert_array_equal(
             miss_mask_assoc(addrs, size, line, 1),
-            miss_mask_direct(addrs, size, line),
+            naive_direct(addrs, size, line),
         )
 
     @given(trace=traces, geom=geometries, assoc=st.sampled_from([2, 4]))
@@ -70,7 +60,7 @@ class TestDirectMapped:
     def test_streaming_split_invariance(self, trace, cut):
         addrs = np.array(trace, dtype=np.int64)
         cut = min(cut, addrs.size)
-        mono = miss_mask_direct(addrs, 512, 32)
+        mono = naive_direct(addrs, 512, 32)
         cache = StreamingDirectCache(512, 32)
         part = np.concatenate([cache.feed(addrs[:cut]), cache.feed(addrs[cut:])])
         np.testing.assert_array_equal(part, mono)
@@ -79,7 +69,7 @@ class TestDirectMapped:
     @settings(max_examples=40, deadline=None)
     def test_cold_misses_lower_bound(self, trace):
         addrs = np.array(trace, dtype=np.int64)
-        misses = int(miss_mask_direct(addrs, 1024, 32).sum())
+        misses = int(miss_mask_assoc_vec(addrs, 1024, 32, 1).sum())
         unique_lines = len({a // 32 for a in trace})
         assert misses >= unique_lines  # every distinct line faults at least once
         assert misses <= len(trace)

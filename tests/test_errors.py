@@ -35,11 +35,11 @@ class TestHierarchy:
         import numpy as np
 
         from repro import DataLayout, ProgramBuilder
-        from repro.cache.direct import miss_mask_direct
+        from repro.cache.assoc_vec import miss_mask_assoc_vec
         from repro.transforms.tiling import strip_mine
 
         with pytest.raises(SimulationError):
-            miss_mask_direct(np.array([0]), 1000, 32)
+            miss_mask_assoc_vec(np.array([0]), 1000, 32, 1)
 
         b = ProgramBuilder("p")
         A = b.array("A", (4,))
