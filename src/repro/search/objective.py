@@ -34,6 +34,7 @@ from typing import Callable
 from repro.analysis.costmodel import MissCostModel
 from repro.cache.config import HierarchyConfig
 from repro.cache.stats import SimulationResult
+from repro.obs.metrics import get_metrics
 
 __all__ = [
     "Objective",
@@ -114,6 +115,7 @@ class ModelObjective:
             if all(c.exact for c in classification):
                 result = analyze_job(job, classification=classification).result
                 return self.base(result, job.hierarchy)
+        get_metrics().counter("model.predictions").inc()
         return self.base(predict_job(job).result, job.hierarchy)
 
 

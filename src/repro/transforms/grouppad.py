@@ -13,11 +13,23 @@ pads that are multiples of the previous level's cache size* -- adding
 ``m * S1`` to a base address changes nothing modulo S1, so the L1 layout
 (conflicts and exploited arcs alike) is preserved exactly while group
 reuse is re-optimized for the larger cache.
+
+Every position is scored without building its layout.  Setting the pad
+before array *i* to ``pad_i + delta`` shifts the base of *i* and of every
+later array by the same ``delta`` and leaves earlier arrays where they
+are.  So for K candidate pads the bases are one layout's bases plus a
+K-vector of shifts on the arrays at or after *i*, and each dot-to-arc or
+reference-pair distance is ``gap + drift * delta`` with a fixed ``gap``
+and ``drift`` in {-1, 0, 1}.  The severe-conflict test (shared with PAD
+and MULTILVLPAD, :func:`repro.transforms.pad._severe_conflicts`) and the
+exploited-arc count then run once over all K positions as NumPy arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.analysis.groups import reuse_arcs
 from repro.cache.config import HierarchyConfig
@@ -25,7 +37,7 @@ from repro.errors import TransformError
 from repro.ir.program import Program
 from repro.ir.ranges import canonical_env
 from repro.layout.layout import DataLayout
-from repro.transforms.pad import _has_conflict, _pair_deltas
+from repro.transforms.pad import _PadCandidates, _pair_deltas, _severe_conflicts
 
 __all__ = ["grouppad", "grouppad_recursive"]
 
@@ -61,46 +73,55 @@ def _nest_infos(program: Program) -> list[_NestInfo]:
     return infos
 
 
-def _exploited_count(
+def _exploited_counts(
     infos: list[_NestInfo],
-    bases: dict[str, int],
+    cands: _PadCandidates,
     subset: set[str],
     cache_size: int,
     line_size: int,
-) -> int:
-    """Exploited group-*temporal* arcs over all nests (``subset`` arrays).
+) -> np.ndarray:
+    """Exploited group-*temporal* arcs over all nests, per candidate pad.
 
-    Mirrors :meth:`repro.layout.diagram.CacheDiagram._arc_exploited` for a
-    foreign dot under the arc or within one line of its endpoints.  Arcs
-    shorter than a cache line are group-*spatial* reuse -- exploited under
-    any layout -- so they are excluded from the objective; counting them
-    would let cheap same-line arcs outvote the column arcs GROUPPAD
-    exists to preserve.
+    Only ``subset`` arrays take part.  Mirrors
+    :meth:`repro.layout.diagram.CacheDiagram._arc_exploited` for a foreign
+    dot under the arc or within one line of its endpoints.  Arcs shorter
+    than a cache line are group-*spatial* reuse -- exploited under any
+    layout -- so they are excluded from the objective; counting them would
+    let cheap same-line arcs outvote the column arcs GROUPPAD exists to
+    preserve.
     """
-    count = 0
+    counts = np.zeros(len(cands.shifts), dtype=np.int64)
     for info in infos:
-        positions = [
-            ((bases[arr] + rel) % cache_size, arr, rel)
-            for arr, rel in info.dots
+        arcs = [
+            (arr, trail, span)
+            for arr, trail, span in info.arcs
             if arr in subset
+            and line_size <= span
+            and span + line_size <= cache_size
         ]
-        for arr, trail_rel, span in info.arcs:
-            if arr not in subset or span < line_size:
-                continue
-            if span + line_size > cache_size:
-                continue
-            trail_pos = (bases[arr] + trail_rel) % cache_size
-            ok = True
-            for pos, parr, prel in positions:
-                if parr == arr and prel in (trail_rel, trail_rel + span):
-                    continue  # the arc's own endpoints
-                rel = (pos - trail_pos) % cache_size
-                if rel < span + line_size or rel > cache_size - line_size:
-                    ok = False
-                    break
-            if ok:
-                count += 1
-    return count
+        if not arcs:
+            continue
+        dots = [(arr, rel) for arr, rel in info.dots if arr in subset]
+        # (A, D): each dot's distance from each arc's trailing end, and how
+        # that distance moves with the shift.
+        gap = np.array([
+            [cands.bases[parr] + prel - cands.bases[arr] - trail
+             for parr, prel in dots]
+            for arr, trail, _ in arcs
+        ])
+        drift = np.array([
+            [cands.drift(parr, arr) for parr, _ in dots] for arr, _, _ in arcs
+        ])
+        own = np.array([  # the arc's own endpoints never block it
+            [parr == arr and prel in (trail, trail + span) for parr, prel in dots]
+            for arr, trail, span in arcs
+        ])
+        span = np.array([s for _, _, s in arcs])[:, None, None]
+        rel = cands.ring_offsets(gap, drift, cache_size)  # (A, D, K)
+        blocked = (rel < span + line_size) | (rel > cache_size - line_size)
+        blocked &= ~own[..., None]
+        counts += (~blocked.any(axis=1)).sum(axis=0)
+    return counts
 
 
 def grouppad(
@@ -135,25 +156,23 @@ def grouppad(
     deltas = _pair_deltas(program)
     all_names = set(layout.order)
 
+    ring = granularity * np.arange(cache_size // granularity, dtype=np.int64)
+
     def best_pad_for(
         current: DataLayout, name: str, others: set[str], base_pad: int
     ) -> int:
-        best_pad = base_pad
-        best_key: tuple | None = None
-        for k in range(cache_size // granularity):
-            candidate = current.with_pad(name, base_pad + k * granularity)
-            bases = candidate.bases()
-            conflict = avoid_conflicts and _has_conflict(
-                bases, name, sorted(others), deltas, [cache_size], line_size
+        shifts = base_pad - current.pads[current.index_of(name)] + ring
+        cands = _PadCandidates.of(current, name, shifts)
+        score = _exploited_counts(
+            infos, cands, others | {name}, cache_size, line_size
+        )
+        if avoid_conflicts:
+            free = ~_severe_conflicts(
+                cands, name, others, deltas, [cache_size], line_size
             )
-            score = _exploited_count(
-                infos, bases, others | {name}, cache_size, line_size
-            )
-            key = (0 if conflict else 1, score, -k)
-            if best_key is None or key > best_key:
-                best_key = key
-                best_pad = base_pad + k * granularity
-        return best_pad
+            if free.any():  # a conflict-free position beats any other
+                score = np.where(free, score, -1)
+        return base_pad + int(ring[np.argmax(score)])
 
     out = layout
     placed: list[str] = []
@@ -195,22 +214,14 @@ def grouppad_recursive(
     out = grouppad(program, layout, levels[0].size, levels[0].line_size)
     infos = _nest_infos(program)
     for prev, cfg in zip(levels, levels[1:]):
-        step = prev.size
-        placed: list[str] = []
+        ring = prev.size * np.arange(cfg.size // prev.size, dtype=np.int64)
+        placed: set[str] = set()
         for name in out.order:
             if placed:
-                base_pad = out.pads[out.index_of(name)]
-                best_pad = base_pad
-                best_score = -1
-                for m in range(cfg.size // step):
-                    candidate = out.with_pad(name, base_pad + m * step)
-                    score = _exploited_count(
-                        infos, candidate.bases(), set(placed) | {name},
-                        cfg.size, cfg.line_size,
-                    )
-                    if score > best_score:
-                        best_score = score
-                        best_pad = base_pad + m * step
-                out = out.with_pad(name, best_pad)
-            placed.append(name)
+                score = _exploited_counts(
+                    infos, _PadCandidates.of(out, name, ring), placed | {name},
+                    cfg.size, cfg.line_size,
+                )
+                out = out.add_pad(name, int(ring[np.argmax(score)]))
+            placed.add(name)
     return out

@@ -20,23 +20,26 @@ by padding and are ignored, as in PAD.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
+import numpy as np
+
 from repro.cache.config import HierarchyConfig
 from repro.errors import TransformError
 from repro.ir.program import Program
 from repro.layout.layout import DataLayout
-from repro.util.mathutil import circular_distance
 
 __all__ = ["pad", "multilvl_pad", "pad_explicit_levels"]
 
 
-def _pair_deltas(program: Program) -> dict[tuple[str, str], set[int]]:
+def _pair_deltas(program: Program) -> dict[tuple[str, str], np.ndarray]:
     """Constant parts of inter-variable reference deltas, per array pair.
 
     For every nest and every pair of references to different arrays whose
     offset difference is iteration-invariant, record that constant.  The
     cache distance of such a pair under any layout is
     ``(base_a - base_b + delta) mod C`` -- only the bases change while PAD
-    searches, so this table is computed once.
+    searches, so this table is computed once (sorted, without repeats).
     """
     deltas: dict[tuple[str, str], set[int]] = {}
     for nest in program.nests:
@@ -55,29 +58,80 @@ def _pair_deltas(program: Program) -> dict[tuple[str, str], set[int]]:
                     pair = (arr_a, arr_b) if arr_a < arr_b else (arr_b, arr_a)
                     d = diff.constant if arr_a < arr_b else -diff.constant
                     deltas.setdefault(pair, set()).add(d)
-    return deltas
+    return {
+        pair: np.array(sorted(ds), dtype=np.int64) for pair, ds in deltas.items()
+    }
 
 
-def _has_conflict(
-    bases: dict[str, int],
-    candidate: str,
-    placed: list[str],
-    deltas: dict[tuple[str, str], set[int]],
+@dataclass(frozen=True)
+class _PadCandidates:
+    """K candidate pads before one array, scored without building layouts.
+
+    Setting the pad before array *i* to ``pad_i + shifts[k]`` moves *i* and
+    every later array by ``shifts[k]`` and leaves earlier arrays in place:
+    under candidate *k* the base of array *a* is ``bases[a] + shifts[k]``
+    when *a* is in ``moved``, else ``bases[a]``.
+    """
+
+    bases: dict[str, int]
+    moved: frozenset[str]
+    shifts: np.ndarray
+
+    @classmethod
+    def of(cls, layout: DataLayout, name: str, shifts) -> "_PadCandidates":
+        idx = layout.index_of(name)
+        return cls(
+            bases=layout.bases(),
+            moved=frozenset(layout.order[idx:]),
+            shifts=np.asarray(shifts, dtype=np.int64),
+        )
+
+    def drift(self, a: str, b: str) -> int:
+        """How ``base(a) - base(b)`` moves per unit of shift: -1, 0 or 1."""
+        return (a in self.moved) - (b in self.moved)
+
+    def ring_offsets(self, gap, drift, size: int) -> np.ndarray:
+        """``(gap + drift * shift) mod size`` for every candidate shift, on
+        a new trailing axis.  Each term is reduced mod ``size`` first, so
+        32-bit arithmetic suffices (integer division dominates the cost)."""
+        dtype = np.int32 if size <= 2**30 else np.int64
+        gap = (np.asarray(gap) % size).astype(dtype)[..., None]
+        drift = np.asarray(drift, dtype=dtype)[..., None]
+        return (gap + drift * (self.shifts % size).astype(dtype)) % size
+
+
+def _severe_conflicts(
+    cands: _PadCandidates,
+    name: str,
+    others,
+    deltas: dict[tuple[str, str], np.ndarray],
     cache_sizes: list[int],
     line_size: int,
-) -> bool:
-    for other in placed:
-        pair = (candidate, other) if candidate < other else (other, candidate)
-        consts = deltas.get(pair)
-        if not consts:
+) -> np.ndarray:
+    """Per candidate: does a reference to ``name`` map within one line of a
+    reference to one of ``others`` on some cache?
+
+    A pair's distance ``t = (base_a - base_b + d) mod C`` is severe when
+    ``min(t, C - t) < line``; the test is symmetric in the sign of the
+    difference, so every pair is taken as ``base(name) - base(other)``.
+    """
+    gaps, drifts = [], []
+    for other in others:
+        pair = (name, other) if name < other else (other, name)
+        ds = deltas.get(pair)
+        if ds is None:
             continue
-        base_delta = bases[pair[0]] - bases[pair[1]]
-        for d in consts:
-            total = base_delta + d
-            for size in cache_sizes:
-                if circular_distance(total % size, 0, size) < line_size:
-                    return True
-    return False
+        gap = cands.bases[name] - cands.bases[other]
+        gaps.append(gap + (ds if name < other else -ds))
+        drifts.append(np.full(len(ds), cands.drift(name, other)))
+    conflict = np.zeros(len(cands.shifts), dtype=bool)
+    if not gaps:
+        return conflict
+    gap, drift = np.concatenate(gaps), np.concatenate(drifts)
+    for size in cache_sizes:
+        t = cands.ring_offsets(gap, drift, size)  # (pairs, K)
+        conflict |= (np.minimum(t, size - t) < line_size).any(axis=0)
+    return conflict
 
 
 def _pad_against(
@@ -94,27 +148,26 @@ def _pad_against(
             raise TransformError(
                 f"cache size {size} must be a positive multiple of line {line_size}"
             )
-    limit = max_lines_per_var
-    if limit is None:
-        # Beyond a full cache of lines no new relative positions exist.
-        limit = max(cache_sizes) // line_size
+    # Beyond a full cache of lines no new relative positions exist.
+    lines = max(cache_sizes) // line_size
+    limit = lines if max_lines_per_var is None else max_lines_per_var
+    shifts = line_size * np.arange(max(min(limit, lines), 0) + 1, dtype=np.int64)
 
     deltas = _pair_deltas(program)
     out = layout
     placed: list[str] = []
     for name in layout.order:
         if placed:
-            tries = 0
-            while _has_conflict(
-                out.bases(), name, placed, deltas, cache_sizes, line_size
-            ):
-                tries += 1
-                if tries > limit:
-                    raise TransformError(
-                        f"PAD could not free {name!r} of severe conflicts within "
-                        f"{limit} lines of padding"
-                    )
-                out = out.add_pad(name, line_size)
+            conflict = _severe_conflicts(
+                _PadCandidates.of(out, name, shifts), name, placed, deltas,
+                cache_sizes, line_size,
+            )
+            if conflict.all():
+                raise TransformError(
+                    f"PAD could not free {name!r} of severe conflicts within "
+                    f"{limit} lines of padding"
+                )
+            out = out.add_pad(name, int(shifts[np.argmin(conflict)]))
         placed.append(name)
     return out
 

@@ -174,6 +174,26 @@ class TestPredictJob:
         assert len(pred.nests) == 1
         assert pred.total_refs == 128
 
+    def test_model_objective_counts_its_predictions(self, pingpong, hier):
+        """Every predictor call a search makes shows in ``model.predictions``,
+        as it does through ``SweepExecutor.predict``."""
+        from repro.obs.metrics import get_metrics, reset_metrics, set_metrics
+        from repro.search.objective import model_objective
+
+        job = SimJob(
+            program=pingpong, layout=DataLayout.sequential(pingpong),
+            hierarchy=hier,
+        )
+        previous = get_metrics()
+        registry = reset_metrics()
+        try:
+            objective = model_objective()
+            objective(job)
+            objective(job)
+        finally:
+            set_metrics(previous)
+        assert registry.counter("model.predictions").value == 2
+
 
 class TestValidationMetrics:
     def test_rankdata_ties_average(self):

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import CacheDiagram, DataLayout, ProgramBuilder
-from repro.transforms.grouppad import _exploited_count, _nest_infos
+from repro.transforms.grouppad import _exploited_counts, _nest_infos
+from repro.transforms.pad import _PadCandidates
 
 L1, LINE = 16 * 1024, 32
 
@@ -37,8 +38,9 @@ class TestDiagramScorerAgreement:
     @given(data=stencil_layouts())
     @settings(max_examples=40, deadline=None)
     def test_grouppad_scorer_matches_diagram(self, data):
-        """For any layout, GROUPPAD's fast scorer must count exactly the
-        group-temporal arcs the CacheDiagram marks exploited."""
+        """For any layout, GROUPPAD's vectorized scorer, run at the single
+        candidate "no extra pad", must count exactly the group-temporal arcs
+        the CacheDiagram marks exploited."""
         prog, layout = data
         diagram_count = 0
         for nest in prog.nests:
@@ -48,12 +50,9 @@ class TestDiagramScorerAgreement:
                 for a in d.arcs
                 if a.exploited and a.reuse.distance_bytes >= LINE
             )
-        scorer_count = _exploited_count(
-            _nest_infos(prog),
-            layout.bases(),
-            set(prog.array_names),
-            L1,
-            LINE,
+        cands = _PadCandidates.of(layout, layout.order[-1], [0])
+        (scorer_count,) = _exploited_counts(
+            _nest_infos(prog), cands, set(prog.array_names), L1, LINE
         )
         assert scorer_count == diagram_count
 

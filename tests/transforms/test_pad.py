@@ -70,6 +70,14 @@ class TestPad:
         with pytest.raises(TransformError):
             pad(prog, seq, 16 * 1024, 32, max_lines_per_var=0)
 
+    def test_limit_beyond_one_cache_adds_no_work(self, resonant):
+        """Offsets past a full cache of lines repeat earlier positions, so a
+        huge line limit scores no more candidates than the default."""
+        prog, seq = resonant
+        assert pad(prog, seq, 16 * 1024, 32, max_lines_per_var=10**12) == pad(
+            prog, seq, 16 * 1024, 32
+        )
+
     def test_invalid_geometry_rejected(self, resonant):
         prog, seq = resonant
         with pytest.raises(TransformError):
