@@ -8,13 +8,21 @@ record predicted configs/sec (via ``extra_info``, so the trend gate
 tracks it) and pin the asymmetry itself.
 """
 
+import itertools
 import time
 
 from repro.cache.config import ultrasparc_i
 from repro.exec.executor import SweepExecutor
+from repro.exec.jobs import SimJob
 from repro.experiments.ext_search import build_space
+from repro.experiments.ext_symbolic import CROSSVAL_HIERARCHIES
+from repro.fuzz import fuzzed_workloads
 
 N_CONFIGS = 24
+
+#: Programs per round of the fuzzed benchmark: the ``tiers`` shape of
+#: ``perfbench`` (100 small programs, each under three hierarchies).
+FUZZ_PROGRAMS = 100
 
 
 def _jobs(name: str = "jacobi"):
@@ -39,6 +47,34 @@ def test_bench_predict_batch(benchmark):
     stats = getattr(stats, "stats", stats)
     benchmark.extra_info["predict_configs_per_sec"] = round(
         len(jobs) / stats.min, 1
+    )
+
+
+def test_bench_predict_fuzzed(benchmark):
+    """Prediction throughput on small fuzzed jobs, one program under every
+    cross-validation hierarchy.  Each round takes a fresh window of the
+    fuzz stream, so the per-nest analyses are built inside the timed
+    region and shared across the three hierarchies, as ``tiers`` does."""
+    windows = itertools.count()
+    executor = SweepExecutor(workers=1)
+
+    def fresh_jobs():
+        seed = next(windows) * FUZZ_PROGRAMS
+        jobs = [
+            SimJob(program, layout, hier)
+            for _, program, layout in fuzzed_workloads(seed, FUZZ_PROGRAMS)
+            for hier in CROSSVAL_HIERARCHIES.values()
+        ]
+        return (jobs,), {}
+
+    results = benchmark.pedantic(
+        executor.predict, setup=fresh_jobs, rounds=5, iterations=1,
+        warmup_rounds=1,
+    )
+    assert len(results) == FUZZ_PROGRAMS * len(CROSSVAL_HIERARCHIES)
+    stats = getattr(benchmark.stats, "stats", benchmark.stats)
+    benchmark.extra_info["predict_jobs_per_sec"] = round(
+        len(results) / stats.min, 1
     )
 
 

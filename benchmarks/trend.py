@@ -34,15 +34,18 @@ refresh a family's file)::
 
     PYTHONPATH=src REPRO_BENCH_JSON=benchmarks/baselines/BENCH_search.json \\
       REPRO_BENCH_ASSOC_JSON=benchmarks/baselines/BENCH_assoc.json \\
+      REPRO_BENCH_SYMBOLIC_JSON=benchmarks/baselines/BENCH_symbolic.json \\
       python -m pytest benchmarks/test_bench_assoc.py \\
-        benchmarks/test_bench_search.py benchmarks/test_bench_model.py -q
+        benchmarks/test_bench_search.py benchmarks/test_bench_model.py \\
+        benchmarks/test_bench_symbolic.py -q
 
 Usage (pairs of fresh/baseline paths)::
 
     python -m benchmarks.trend \\
       BENCH_search.json benchmarks/baselines/BENCH_search.json \\
       BENCH_assoc.json benchmarks/baselines/BENCH_assoc.json \\
-      BENCH_exec.json benchmarks/baselines/BENCH_exec.json
+      BENCH_exec.json benchmarks/baselines/BENCH_exec.json \\
+      BENCH_symbolic.json benchmarks/baselines/BENCH_symbolic.json
 """
 
 from __future__ import annotations

@@ -11,7 +11,6 @@ from repro.errors import IRError
 from repro.ir.affine import AffineExpr
 from repro.ir.loops import LoopNest
 from repro.ir.program import Program
-from repro.ir.ranges import affine_interval, loop_var_ranges
 
 __all__ = [
     "nest_footprint_bytes",
@@ -27,23 +26,20 @@ def ref_span_bytes(program: Program, nest: LoopNest, array: str) -> int:
     Interval width of the reference offsets over the iteration space plus
     one element -- an upper bound on the data touched in that array.
     """
-    decl = program.decl(array)
-    ranges = loop_var_ranges(nest)
-    lo, hi = None, None
-    for ref in nest.refs:
-        if ref.array != array:
-            continue
-        rlo, rhi = affine_interval(ref.offset_expr(decl), ranges)
-        lo = rlo if lo is None else min(lo, rlo)
-        hi = rhi if hi is None else max(hi, rhi)
-    if lo is None:
+    from repro.analysis.nestinfo import nest_analysis  # lazy: import cycle
+
+    span = nest_analysis(program, nest).array_spans.get(array)
+    if span is None:
+        program.decl(array)  # an undeclared name raises, a declared one spans 0
         return 0
-    return (hi - lo) + decl.element_size
+    return span
 
 
 def nest_footprint_bytes(program: Program, nest: LoopNest) -> int:
     """Total bytes touched by a nest (sum of per-array spans)."""
-    return sum(ref_span_bytes(program, nest, a) for a in nest.arrays_used())
+    from repro.analysis.nestinfo import nest_analysis  # lazy: import cycle
+
+    return nest_analysis(program, nest).footprint
 
 
 def ref_lines_lower_bound(

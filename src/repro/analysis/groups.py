@@ -79,63 +79,68 @@ class ReuseArc:
             )
 
 
-def _dedupe(refs) -> tuple[list[ArrayRef], list[int]]:
-    """Unique references (ignoring read/write flag) with multiplicities."""
-    uniq: list[ArrayRef] = []
-    counts: list[int] = []
-    for r in refs:
-        key = ArrayRef(r.array, r.subscripts, is_write=False)
-        for i, u in enumerate(uniq):
-            if u.array == key.array and u.subscripts == key.subscripts:
-                counts[i] += 1
-                break
-        else:
-            uniq.append(key)
-            counts.append(1)
-    return uniq, counts
+def build_classes(refs, multiplicity, offsets):
+    """Uniform classes, reuse arcs, and each arc's (trailing, leading)
+    indices into ``refs``, from deduplicated references and their byte
+    offset expressions.
+
+    Classes come in the order of their first reference; members of a
+    class are sorted by the constant byte offset between them.
+    """
+    assigned = [False] * len(refs)
+    classes: list[UniformClass] = []
+    arcs: list[ReuseArc] = []
+    arc_refs: list[tuple[int, int]] = []
+    for i, ref in enumerate(refs):
+        if assigned[i]:
+            continue
+        members = [i]
+        assigned[i] = True
+        for j in range(i + 1, len(refs)):
+            if not assigned[j] and ref.is_uniformly_generated_with(refs[j]):
+                members.append(j)
+                assigned[j] = True
+        # Order members by byte offset of their constant part.
+        keyed = []
+        for j in members:
+            delta = offsets[j] - offsets[i]
+            if not delta.is_constant:
+                raise AnalysisError(
+                    f"references {ref!r} and {refs[j]!r} are uniformly "
+                    f"generated but have non-constant delta {delta!r}"
+                )
+            keyed.append((delta.constant, j))
+        keyed.sort(key=lambda t: t[0])
+        lo = keyed[0][0]
+        cls = UniformClass(
+            array=ref.array,
+            refs=tuple(refs[j] for _, j in keyed),
+            offsets=tuple(off - lo for off, _ in keyed),
+            multiplicity=tuple(multiplicity[j] for _, j in keyed),
+        )
+        classes.append(cls)
+        for (o1, j1), (o2, j2) in zip(keyed, keyed[1:]):
+            arcs.append(
+                ReuseArc(
+                    array=cls.array,
+                    trailing=refs[j1],
+                    leading=refs[j2],
+                    distance_bytes=o2 - o1,
+                )
+            )
+            arc_refs.append((j1, j2))
+    return tuple(classes), tuple(arcs), tuple(arc_refs)
 
 
 def uniform_classes(program: Program, nest: LoopNest) -> list[UniformClass]:
     """Partition a nest's references into uniformly generated classes.
 
-    References are deduplicated first; classes are returned ordered by
-    array name and then by the position of their first reference.
+    References are deduplicated first; classes are returned in the order
+    of their first reference's first occurrence in the nest.
     """
-    uniq, counts = _dedupe(nest.refs)
-    assigned = [False] * len(uniq)
-    classes: list[UniformClass] = []
-    for i, ref in enumerate(uniq):
-        if assigned[i]:
-            continue
-        decl = program.decl(ref.array)
-        members = [(ref, counts[i])]
-        assigned[i] = True
-        for j in range(i + 1, len(uniq)):
-            if not assigned[j] and ref.is_uniformly_generated_with(uniq[j]):
-                members.append((uniq[j], counts[j]))
-                assigned[j] = True
-        # Order members by byte offset of their constant part.
-        base_off = members[0][0].offset_expr(decl)
-        keyed = []
-        for r, mult in members:
-            delta = r.offset_expr(decl) - base_off
-            if not delta.is_constant:
-                raise AnalysisError(
-                    f"references {members[0][0]!r} and {r!r} are uniformly "
-                    f"generated but have non-constant delta {delta!r}"
-                )
-            keyed.append((delta.constant, r, mult))
-        keyed.sort(key=lambda t: t[0])
-        lo = keyed[0][0]
-        classes.append(
-            UniformClass(
-                array=ref.array,
-                refs=tuple(r for _, r, _ in keyed),
-                offsets=tuple(off - lo for off, _, _ in keyed),
-                multiplicity=tuple(m for _, _, m in keyed),
-            )
-        )
-    return classes
+    from repro.analysis.nestinfo import nest_analysis  # lazy: import cycle
+
+    return list(nest_analysis(program, nest).classes)
 
 
 def reuse_arcs(program: Program, nest: LoopNest) -> list[ReuseArc]:
@@ -144,17 +149,6 @@ def reuse_arcs(program: Program, nest: LoopNest) -> list[ReuseArc]:
     Pairs with zero distance never appear: identical references are
     deduplicated into multiplicities instead.
     """
-    arcs: list[ReuseArc] = []
-    for cls in uniform_classes(program, nest):
-        for (r1, o1), (r2, o2) in zip(
-            zip(cls.refs, cls.offsets), zip(cls.refs[1:], cls.offsets[1:])
-        ):
-            arcs.append(
-                ReuseArc(
-                    array=cls.array,
-                    trailing=r1,
-                    leading=r2,
-                    distance_bytes=o2 - o1,
-                )
-            )
-    return arcs
+    from repro.analysis.nestinfo import nest_analysis  # lazy: import cycle
+
+    return list(nest_analysis(program, nest).arcs)

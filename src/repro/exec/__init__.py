@@ -9,8 +9,8 @@ The subsystem's layers:
   with an in-memory hot tier and a packed per-store manifest for
   batched warm-up scans;
 * :mod:`repro.exec.cost` -- trace-free per-job cost estimates (dynamic
-  reference count, working-set lower bound) that order dispatch and
-  size trace chunk budgets;
+  reference count, summed per-reference line bounds) that order dispatch
+  and size trace chunk budgets;
 * :mod:`repro.exec.scheduler` -- the persistent worker pool
   (:class:`WorkerPool`), shared-payload broadcast, and cost-aware
   work-stealing dispatch the executor runs on;

@@ -12,13 +12,13 @@ no simulation:
   :meth:`~repro.ir.loops.Loop.concrete_trip` arithmetic the trace
   generator uses, so the estimate counts precisely the references the
   simulator will stream);
-* the **refinement** is the symbolic tier's working-set lower bound
-  (:func:`repro.analysis.footprint.ref_lines_lower_bound`, microseconds
-  per reference): of two jobs with equal reference counts, the one
-  touching more distinct lines compresses worse in the vectorized
-  simulator and runs longer.
+* the **refinement** sums the symbolic tier's per-reference line lower
+  bounds (:func:`repro.analysis.footprint.ref_lines_lower_bound`, cached
+  per nest and line size) over every textual reference: of two jobs with
+  equal reference counts, the one touching more lines compresses worse
+  in the vectorized simulator and runs longer.
 
-The same working-set bound also picks the **trace chunk budget** for the
+The same line sum also picks the **trace chunk budget** for the
 auto tier's sim fallback (:func:`auto_chunk_refs`): the streaming
 simulator guarantees chunking never changes miss counts, so the budget
 is a pure locality knob -- a job with a small footprint gets chunks
@@ -28,7 +28,7 @@ instead of paying the default 4M-reference allocations.
 
 from __future__ import annotations
 
-from repro.analysis.footprint import ref_lines_lower_bound
+from repro.analysis.nestinfo import nest_analysis
 from repro.trace.generator import DEFAULT_CHUNK_REFS
 
 __all__ = [
@@ -68,26 +68,32 @@ def estimate_job_refs(job) -> int:
     right estimate either way.
     """
     return sum(
-        nest.iterations() * nest.refs_per_iteration for nest in _job_nests(job)
+        nest_analysis(job.program, nest).iterations * nest.refs_per_iteration
+        for nest in _job_nests(job)
     )
 
 
 def estimate_job_lines(job, line_size: int | None = None) -> int:
-    """Working-set lower bound in distinct cache lines.
+    """Sum of per-reference line lower bounds, a working-set size proxy.
 
-    Sum of per-reference :func:`ref_lines_lower_bound` values at the
-    hierarchy's smallest line size (layout bases are ignored -- they
-    shift offsets, never shrink a reference's own line count).  A lower
-    bound, not an exact footprint: good enough to order equal-ref jobs
-    and to scale chunk budgets, at microseconds per job.
+    Every textual reference contributes its
+    :func:`~repro.analysis.footprint.ref_lines_lower_bound` at the
+    hierarchy's smallest line size, duplicates included, so two
+    references to the same lines count twice.  The sum is therefore
+    *not* a lower bound on the job's distinct lines (it can exceed
+    them); it is a deterministic size measure, good enough to order
+    equal-ref jobs and to scale chunk budgets.  Layout bases are
+    ignored -- they shift offsets, never shrink a reference's own line
+    count.
     """
     if line_size is None:
         line_size = min(c.line_size for c in job.hierarchy)
     total = 0
     for nest in _job_nests(job):
-        for ref in nest.refs:
-            decl = job.program.decl(ref.array)
-            total += ref_lines_lower_bound(nest, ref.offset_expr(decl), line_size)
+        info = nest_analysis(job.program, nest)
+        total += sum(
+            b * m for b, m in zip(info.lines_bounds(line_size), info.multiplicity)
+        )
     return total
 
 

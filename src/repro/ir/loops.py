@@ -186,6 +186,11 @@ class LoopNest:
     body: tuple[Statement, ...]
     label: str = ""
 
+    #: The cached :class:`repro.analysis.nestinfo.NestAnalysis` (not a
+    #: field): set on first use by ``nest_analysis``, never pickled,
+    #: compared, hashed or canonicalized.
+    _analysis = None
+
     def __post_init__(self) -> None:
         object.__setattr__(self, "loops", tuple(self.loops))
         object.__setattr__(self, "body", tuple(self.body))
@@ -216,6 +221,13 @@ class LoopNest:
                         raise IRError(
                             f"reference {ref!r} uses unknown loop variable {v!r}"
                         )
+
+    def __getstate__(self) -> dict:
+        # Pickles carry the fields alone; the analysis is rebuilt on use.
+        state = self.__dict__
+        if "_analysis" in state:
+            state = {k: v for k, v in state.items() if k != "_analysis"}
+        return state
 
     @property
     def depth(self) -> int:

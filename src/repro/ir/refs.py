@@ -63,10 +63,13 @@ class ArrayRef:
             raise IRError(
                 f"array {self.array} has rank {decl.rank}, reference has {self.rank}"
             )
-        off = AffineExpr()
+        terms: dict[str, int] = {}
+        constant = 0
         for sub, stride in zip(self.subscripts, decl.strides_bytes):
-            off = off + (sub - 1) * stride
-        return off
+            for name, coeff in sub.terms.items():
+                terms[name] = terms.get(name, 0) + coeff * stride
+            constant += (sub.constant - 1) * stride
+        return AffineExpr(terms, constant)
 
     def substitute(self, name: str, replacement) -> "ArrayRef":
         """Rewrite every subscript, replacing loop variable ``name``."""

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.analysis.nestinfo import nest_analysis
 from repro.ir.loops import LoopNest
 from repro.ir.program import Program
-from repro.ir.ranges import affine_interval, loop_var_ranges
+from repro.ir.ranges import affine_interval
 from repro.ir.refs import ArrayRef
 from repro.layout.layout import DataLayout
 from repro.util.mathutil import circular_distance
@@ -80,7 +81,7 @@ def delta_interval(
         - ref_b.offset_expr(program.decl(ref_b.array))
         + (layout.base(ref_a.array) - layout.base(ref_b.array))
     )
-    return affine_interval(expr, loop_var_ranges(nest))
+    return affine_interval(expr, nest_analysis(program, nest).ranges)
 
 
 def interval_conflicts_with_cache(
@@ -99,15 +100,6 @@ def interval_conflicts_with_cache(
     return hi // cache_size >= -((-lo) // cache_size)
 
 
-def _unique_refs(nest: LoopNest) -> list[ArrayRef]:
-    seen: list[ArrayRef] = []
-    for r in nest.refs:
-        key = ArrayRef(r.array, r.subscripts, is_write=False)
-        if not any(u.array == key.array and u.subscripts == key.subscripts for u in seen):
-            seen.append(key)
-    return seen
-
-
 def nest_severe_conflicts(
     program: Program,
     layout: DataLayout,
@@ -121,19 +113,20 @@ def nest_severe_conflicts(
     (:mod:`repro.transforms.intrapad`), not inter-variable padding, so
     same-array pairs are excluded here -- matching PAD's scope.
     """
-    refs = _unique_refs(nest)
-    ranges = loop_var_ranges(nest)
+    info = nest_analysis(program, nest)
+    refs = info.refs
+    bases = {name: layout.base(name) for name in info.arrays_used}
     pairs: list[ConflictPair] = []
     for i, ra in enumerate(refs):
-        decl_a = program.decl(ra.array)
-        off_a = ra.offset_expr(decl_a) + layout.base(ra.array)
-        for rb in refs[i + 1 :]:
+        for j in range(i + 1, len(refs)):
+            rb = refs[j]
             if rb.array == ra.array:
                 continue
-            decl_b = program.decl(rb.array)
-            expr = off_a - (rb.offset_expr(decl_b) + layout.base(rb.array))
-            dmin, dmax = affine_interval(expr, ranges)
-            if interval_conflicts_with_cache(dmin, dmax, cache_size, line_size):
+            dmin, dmax = affine_interval(info.offsets[i] - info.offsets[j], info.ranges)
+            shift = bases[ra.array] - bases[rb.array]
+            if interval_conflicts_with_cache(
+                dmin + shift, dmax + shift, cache_size, line_size
+            ):
                 pairs.append(
                     ConflictPair(
                         nest_label=nest.label,

@@ -19,15 +19,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.groups import ReuseArc, reuse_arcs
+from repro.analysis.groups import ReuseArc
+from repro.analysis.nestinfo import NestAnalysis, nest_analysis
 from repro.errors import AnalysisError
 from repro.ir.loops import LoopNest
 from repro.ir.program import Program
-from repro.ir.ranges import canonical_env
 from repro.ir.refs import ArrayRef
 from repro.layout.layout import DataLayout
 
-__all__ = ["Dot", "Arc", "CacheDiagram"]
+__all__ = ["Dot", "Arc", "CacheDiagram", "arcs_exploited"]
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,38 @@ class Arc:
     trail_pos: int
     lead_pos: int
     exploited: bool
+
+
+def arcs_exploited(
+    info: NestAnalysis, positions: list[int], cache_size: int, line_size: int
+) -> list[bool]:
+    """Whether each of ``info.arcs`` is exploited, given every unique
+    reference's position (address modulo ``cache_size``).
+
+    No foreign dot may fall under the arc *or within one line of its
+    endpoints* -- a dot superimposed on an endpoint is a severe conflict
+    that flushes the reused data just as surely (Section 3.1.1: severe
+    conflicts "would be illustrated by superimposing dots").
+    """
+    out = []
+    for arc, (trail, lead) in zip(info.arcs, info.arc_refs):
+        d = arc.distance_bytes
+        if d < line_size:
+            # Group-*spatial* reuse: both references ride the same cache
+            # line, so the reuse survives any layout (and any level).
+            out.append(True)
+            continue
+        if d + line_size > cache_size:
+            out.append(False)  # the sweep itself flushes the data before reuse
+            continue
+        start = positions[trail]
+        lo, hi = d + line_size, cache_size - line_size
+        out.append(all(
+            lo <= (p - start) % cache_size <= hi
+            for k, p in enumerate(positions)
+            if k != trail and k != lead  # the arc's own endpoints
+        ))
+    return out
 
 
 class CacheDiagram:
@@ -69,64 +101,19 @@ class CacheDiagram:
         self.line_size = line_size
         self._build()
 
-    def _position(self, ref: ArrayRef, env: dict[str, int]) -> int:
-        decl = self.program.decl(ref.array)
-        addr = self.layout.base(ref.array) + int(ref.offset_expr(decl).evaluate(env))
-        return addr % self.cache_size
-
     def _build(self) -> None:
-        env = canonical_env(self.nest)
-        # Deduplicated dots with multiplicities.
-        uniq: list[tuple[ArrayRef, int]] = []
-        for r in self.nest.refs:
-            key = ArrayRef(r.array, r.subscripts, is_write=False)
-            for i, (u, m) in enumerate(uniq):
-                if u.array == key.array and u.subscripts == key.subscripts:
-                    uniq[i] = (u, m + 1)
-                    break
-            else:
-                uniq.append((key, 1))
+        info = nest_analysis(self.program, self.nest)
+        positions = [a % self.cache_size for a in info.addresses(self.layout)]
         self.dots: tuple[Dot, ...] = tuple(
-            Dot(ref=r, position=self._position(r, env), multiplicity=m)
-            for r, m in uniq
+            Dot(ref=r, position=p, multiplicity=m)
+            for r, p, m in zip(info.refs, positions, info.multiplicity)
         )
+        flags = arcs_exploited(info, positions, self.cache_size, self.line_size)
         self.arcs: tuple[Arc, ...] = tuple(
-            self._place_arc(a, env) for a in reuse_arcs(self.program, self.nest)
+            Arc(reuse=arc, trail_pos=positions[t], lead_pos=positions[l],
+                exploited=ok)
+            for arc, (t, l), ok in zip(info.arcs, info.arc_refs, flags)
         )
-
-    def _place_arc(self, arc: ReuseArc, env: dict[str, int]) -> Arc:
-        trail = self._position(arc.trailing, env)
-        lead = self._position(arc.leading, env)
-        return Arc(
-            reuse=arc,
-            trail_pos=trail,
-            lead_pos=lead,
-            exploited=self._arc_exploited(arc, trail),
-        )
-
-    def _arc_exploited(self, arc: ReuseArc, trail_pos: int) -> bool:
-        """No foreign dot may fall under the arc *or within one line of its
-        endpoints* -- a dot superimposed on an endpoint is a severe conflict
-        that flushes the reused data just as surely (Section 3.1.1: severe
-        conflicts "would be illustrated by superimposing dots")."""
-        d = arc.distance_bytes
-        line = self.line_size
-        if d < line:
-            # Group-*spatial* reuse: both references ride the same cache
-            # line, so the reuse survives any layout (and any level).
-            return True
-        if d + line > self.cache_size:
-            return False  # the sweep itself flushes the data before reuse
-        for dot in self.dots:
-            # Skip the arc's own endpoints.
-            if dot.ref.subscripts in (arc.trailing.subscripts, arc.leading.subscripts) and (
-                dot.ref.array == arc.array
-            ):
-                continue
-            rel = (dot.position - trail_pos) % self.cache_size
-            if rel < d + line or rel > self.cache_size - line:
-                return False
-        return True
 
     # -- summary metrics ---------------------------------------------------
     @property

@@ -4,8 +4,8 @@ Everything the simulator measures by replaying a trace, this subsystem
 estimates in closed form from the program IR, the data layout, and the
 hierarchy: spatial misses from strides, conflict misses from k-way
 set-mapping overlap, capacity and cross-nest temporal reuse from
-footprints.  A prediction costs microseconds where a simulation costs
-seconds, which is what powers the two-tier predict-then-verify search
+footprints.  A prediction costs a fraction of a millisecond (the nest
+facts it reads are cached per nest) where a simulation costs seconds, which is what powers the two-tier predict-then-verify search
 (:class:`repro.search.strategies.PredictThenVerifyStrategy`).
 
 Entry points:

@@ -26,10 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.analysis.nestinfo import NestAnalysis, nest_analysis
 from repro.cache.config import CacheConfig
 from repro.ir.loops import LoopNest
 from repro.ir.program import Program
-from repro.ir.ranges import canonical_env
 from repro.ir.refs import ArrayRef
 from repro.layout.layout import DataLayout
 from repro.util.mathutil import circular_distance
@@ -54,15 +54,34 @@ class ThrashCluster:
         return self.competitors > associativity
 
 
-def _unique_refs(nest: LoopNest) -> list[ArrayRef]:
-    uniq: list[ArrayRef] = []
-    for r in nest.refs:
-        key = ArrayRef(r.array, r.subscripts, is_write=False)
-        if not any(
-            u.array == key.array and u.subscripts == key.subscripts for u in uniq
-        ):
-            uniq.append(key)
-    return uniq
+def _clusters(
+    info: NestAnalysis, addrs: list[int], cache: CacheConfig
+) -> list[list[int]]:
+    """Members (indices into ``info.refs``) of each connected component
+    with at least one edge, in order of their smallest member."""
+    period = cache.size // cache.associativity
+    line = cache.line_size
+    parent = list(range(len(addrs)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    edges = 0
+    for i, j in info.const_pairs:  # different arrays, constant delta
+        if circular_distance(addrs[i], addrs[j], period) < line:
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[ri] = rj
+            edges += 1
+    if not edges:
+        return []
+    groups: dict[int, list[int]] = {}
+    for i in range(len(addrs)):
+        groups.setdefault(find(i), []).append(i)
+    return [members for members in groups.values() if len(members) >= 2]
 
 
 def thrash_clusters(
@@ -77,58 +96,35 @@ def thrash_clusters(
     references of *different* arrays whose address delta is constant over
     the iteration space and lies within one line of the set-mapping
     period (same-array pairs within a line are group-spatial reuse, not
-    conflicts).  Every returned cluster has at least one edge; call
+    conflicts; pairs with different velocities overlap only transiently).
+    Every returned cluster has at least one edge; call
     :meth:`ThrashCluster.thrashes` to apply the associativity threshold.
     """
+    info = nest_analysis(program, nest)
+    addrs = info.addresses(layout)
     period = cache.size // cache.associativity
-    line = cache.line_size
-    env = canonical_env(nest)
-    refs = _unique_refs(nest)
-    offs = [r.offset_expr(program.decl(r.array)) for r in refs]
-    addrs = [
-        layout.base(r.array) + int(off.evaluate(env))
-        for r, off in zip(refs, offs)
-    ]
-
-    parent = list(range(len(refs)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    edges = 0
-    for i in range(len(refs)):
-        for j in range(i + 1, len(refs)):
-            if refs[i].array == refs[j].array:
-                continue  # intra-array spacing is intra_pad's problem
-            if not (offs[i] - offs[j]).is_constant:
-                continue  # different velocities: only transient overlap
-            if circular_distance(addrs[i], addrs[j], period) < line:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-                edges += 1
-    if not edges:
-        return []
-
-    groups: dict[int, list[int]] = {}
-    for i in range(len(refs)):
-        groups.setdefault(find(i), []).append(i)
-    clusters = []
-    for members in groups.values():
-        if len(members) < 2:
-            continue
-        clusters.append(
-            ThrashCluster(
-                refs=tuple(refs[i] for i in members),
-                positions=tuple(addrs[i] % period for i in members),
-                arrays=tuple(sorted({refs[i].array for i in members})),
-            )
+    clusters = [
+        ThrashCluster(
+            refs=tuple(info.refs[i] for i in members),
+            positions=tuple(addrs[i] % period for i in members),
+            arrays=tuple(sorted({info.refs[i].array for i in members})),
         )
+        for members in _clusters(info, addrs, cache)
+    ]
     clusters.sort(key=lambda c: c.positions)
     return clusters
+
+
+def thrashing_indices(
+    info: NestAnalysis, addrs: list[int], cache: CacheConfig
+) -> set[int]:
+    """Indices into ``info.refs`` of the references predicted to miss
+    every iteration on ``cache`` (``addrs`` from :meth:`NestAnalysis.addresses`)."""
+    out: set[int] = set()
+    for members in _clusters(info, addrs, cache):
+        if len({info.refs[i].array for i in members}) > cache.associativity:
+            out.update(members)
+    return out
 
 
 def thrashing_refs(
@@ -138,8 +134,7 @@ def thrashing_refs(
     cache: CacheConfig,
 ) -> set[ArrayRef]:
     """References predicted to miss every iteration on ``cache``."""
-    out: set[ArrayRef] = set()
-    for cluster in thrash_clusters(program, layout, nest, cache):
-        if cluster.thrashes(cache.associativity):
-            out.update(cluster.refs)
-    return out
+    info = nest_analysis(program, nest)
+    return {
+        info.refs[i] for i in thrashing_indices(info, info.addresses(layout), cache)
+    }

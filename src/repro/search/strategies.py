@@ -167,8 +167,8 @@ class PredictThenVerifyStrategy:
 
     Tier one runs the closed-form predictor (:mod:`repro.model`) over the
     whole space -- or, above ``max_scored`` points, over a seeded random
-    sample plus the start point -- which costs microseconds per config
-    and **zero** simulation budget.  Tier two passes the ``top_k``
+    sample plus the start point -- which costs a fraction of a
+    millisecond per config and **zero** simulation budget.  Tier two passes the ``top_k``
     best-predicted configs to ``evaluate``, i.e. through the tuner's
     exact :class:`~repro.exec.jobs.SimJob` path, so the verification
     simulations batch in parallel and land in the executor's result

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.footprint import ref_lines_lower_bound
+from repro.analysis.nestinfo import nest_analysis
 from repro.cache.config import HierarchyConfig
 from repro.ir.loops import LoopNest
 from repro.ir.program import Program
@@ -123,20 +123,14 @@ def _capacity_reasons(
     out: dict[str, str] = {}
     for cache in hierarchy.levels:
         for nest in nests:
-            done = False
-            for ref in nest.refs:
-                decl = program.decl(ref.array)
-                bound = ref_lines_lower_bound(
-                    nest, ref.offset_expr(decl), cache.line_size
+            info = nest_analysis(program, nest)
+            bounds = info.lines_bounds(cache.line_size)
+            i = next((i for i, b in enumerate(bounds) if b > cache.num_lines), None)
+            if i is not None:
+                out[cache.name] = (
+                    f"{info.refs[i].array} alone spans >= {bounds[i]} lines, "
+                    f"{cache.name} holds {cache.num_lines}"
                 )
-                if bound > cache.num_lines:
-                    out[cache.name] = (
-                        f"{ref.array} alone spans >= {bound} lines, "
-                        f"{cache.name} holds {cache.num_lines}"
-                    )
-                    done = True
-                    break
-            if done:
                 break
     return out
 

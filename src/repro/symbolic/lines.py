@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.analysis.nestinfo import nest_analysis
 from repro.cache.config import CacheConfig
 from repro.ir.affine import AffineExpr
 from repro.ir.loops import LoopNest
@@ -65,16 +66,11 @@ def unique_ref_exprs(
     are absolute (layout base included) so arrays that share cache lines
     across a boundary are handled by construction.
     """
+    info = nest_analysis(program, nest)
     bases = layout.bases()
-    seen: set[AffineExpr] = set()
-    out: list[AffineExpr] = []
-    for ref in nest.refs:
-        decl = program.decl(ref.array)
-        expr = ref.offset_expr(decl) + bases[ref.array]
-        if expr not in seen:
-            seen.add(expr)
-            out.append(expr)
-    return out
+    return list(dict.fromkeys(
+        off + bases[ref.array] for ref, off in zip(info.refs, info.offsets)
+    ))
 
 
 def _rect_offsets(
@@ -174,14 +170,16 @@ def distinct_offsets(
     follow by floor division (:func:`distinct_lines`), which commutes
     with the union taken here.
     """
+    bases = layout.bases()
     pieces: list[np.ndarray] = []
     for nest in nests if nests is not None else program.nests:
-        for expr in unique_ref_exprs(program, layout, nest):
-            offs = ref_distinct_offsets(nest, expr, max_offsets, max_steps)
+        info = nest_analysis(program, nest)
+        for i, ref in enumerate(info.refs):
+            offs = info.relative_offsets(i, max_offsets, max_steps)
             if offs is None:
                 return None
             if offs.size:
-                pieces.append(offs)
+                pieces.append(offs + bases[ref.array])
     if not pieces:
         return np.empty(0, dtype=np.int64)
     return np.unique(np.concatenate(pieces))

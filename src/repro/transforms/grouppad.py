@@ -31,11 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.groups import reuse_arcs
+from repro.analysis.nestinfo import nest_analysis
 from repro.cache.config import HierarchyConfig
 from repro.errors import TransformError
 from repro.ir.program import Program
-from repro.ir.ranges import canonical_env
 from repro.layout.layout import DataLayout
 from repro.transforms.pad import _PadCandidates, _pair_deltas, _severe_conflicts
 
@@ -53,23 +52,14 @@ class _NestInfo:
 def _nest_infos(program: Program) -> list[_NestInfo]:
     infos = []
     for nest in program.nests:
-        env = canonical_env(nest)
-        dots: list[tuple[str, int]] = []
-        seen: set[tuple] = set()
-        rel_of: dict[tuple, int] = {}
-        for ref in nest.refs:
-            key = (ref.array, ref.subscripts)
-            if key in seen:
-                continue
-            seen.add(key)
-            rel = int(ref.offset_expr(program.decl(ref.array)).evaluate(env))
-            rel_of[key] = rel
-            dots.append((ref.array, rel))
-        arcs = []
-        for arc in reuse_arcs(program, nest):
-            trail_rel = rel_of[(arc.array, arc.trailing.subscripts)]
-            arcs.append((arc.array, trail_rel, arc.distance_bytes))
-        infos.append(_NestInfo(dots=tuple(dots), arcs=tuple(arcs)))
+        info = nest_analysis(program, nest)
+        infos.append(_NestInfo(
+            dots=tuple((r.array, c) for r, c in zip(info.refs, info.canonical)),
+            arcs=tuple(
+                (arc.array, info.canonical[t], arc.distance_bytes)
+                for arc, (t, _) in zip(info.arcs, info.arc_refs)
+            ),
+        ))
     return infos
 
 
@@ -83,7 +73,7 @@ def _exploited_counts(
     """Exploited group-*temporal* arcs over all nests, per candidate pad.
 
     Only ``subset`` arrays take part.  Mirrors
-    :meth:`repro.layout.diagram.CacheDiagram._arc_exploited` for a foreign
+    :func:`repro.layout.diagram.arcs_exploited` for a foreign
     dot under the arc or within one line of its endpoints.  Arcs shorter
     than a cache line are group-*spatial* reuse -- exploited under any
     layout -- so they are excluded from the objective; counting them would

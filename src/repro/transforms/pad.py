@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.analysis.nestinfo import nest_analysis
 from repro.cache.config import HierarchyConfig
 from repro.errors import TransformError
 from repro.ir.program import Program
@@ -43,21 +44,13 @@ def _pair_deltas(program: Program) -> dict[tuple[str, str], np.ndarray]:
     """
     deltas: dict[tuple[str, str], set[int]] = {}
     for nest in program.nests:
-        uniq: dict[tuple, object] = {}
-        for ref in nest.refs:
-            key = (ref.array, ref.subscripts)
-            if key not in uniq:
-                uniq[key] = ref.offset_expr(program.decl(ref.array))
-        items = list(uniq.items())
-        for i, ((arr_a, _), off_a) in enumerate(items):
-            for (arr_b, _), off_b in items[i + 1 :]:
-                if arr_a == arr_b:
-                    continue
-                diff = off_a - off_b
-                if diff.is_constant:
-                    pair = (arr_a, arr_b) if arr_a < arr_b else (arr_b, arr_a)
-                    d = diff.constant if arr_a < arr_b else -diff.constant
-                    deltas.setdefault(pair, set()).add(d)
+        info = nest_analysis(program, nest)
+        for i, j in info.const_pairs:
+            arr_a, arr_b = info.refs[i].array, info.refs[j].array
+            diff = info.offsets[i].constant - info.offsets[j].constant
+            pair = (arr_a, arr_b) if arr_a < arr_b else (arr_b, arr_a)
+            d = diff if arr_a < arr_b else -diff
+            deltas.setdefault(pair, set()).add(d)
     return {
         pair: np.array(sorted(ds), dtype=np.int64) for pair, ds in deltas.items()
     }

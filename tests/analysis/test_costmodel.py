@@ -2,13 +2,14 @@
 
 Section 6.4's claim -- "the compiler can predict relative cache miss rates
 fairly accurately by analyzing group reuse" -- is tested literally: the
-analytic model's ordering of layouts must agree with simulation.
+closed-form predictor's ordering of layouts must agree with simulation.
 """
 
 import pytest
 
 from repro import DataLayout, simulate_program, ultrasparc_i
-from repro.analysis.costmodel import MissCostModel, estimate_nest_misses
+from repro.analysis.costmodel import MissCostModel
+from repro.model.predictor import predict_nest
 from repro.transforms.grouppad import grouppad
 from repro.transforms.pad import pad
 from tests.conftest import build_fig2
@@ -38,9 +39,9 @@ class TestAnalyticEstimates:
         seq = DataLayout.sequential(prog)
         padded = pad(prog, seq, hier.l1.size, hier.l1.line_size)
 
-        est_bad = estimate_nest_misses(prog, seq, prog.nests[0], hier)
-        est_good = estimate_nest_misses(prog, padded, prog.nests[0], hier)
-        assert est_good.l1_misses <= est_bad.l1_misses
+        est_bad = predict_nest(prog, seq, prog.nests[0], hier)
+        est_good = predict_nest(prog, padded, prog.nests[0], hier)
+        assert est_good.levels[0].misses <= est_bad.levels[0].misses
 
         sim_bad = simulate_program(prog, seq, hier)
         sim_good = simulate_program(prog, padded, hier)
@@ -55,26 +56,8 @@ class TestAnalyticEstimates:
         )
         est_rates = []
         for nest in prog.nests:
-            est = estimate_nest_misses(prog, layout, nest, hier)
-            est_rates.append((est.l1_misses, est.total_refs))
+            est = predict_nest(prog, layout, nest, hier)
+            est_rates.append((est.levels[0].misses, est.total_refs))
         predicted = sum(m for m, _ in est_rates) / sum(t for _, t in est_rates)
         simulated = simulate_program(prog, layout, hier).miss_rate("L1")
         assert abs(predicted - simulated) < 0.05
-
-    def test_temporal_innermost_costs_nothing(self, hier):
-        from repro import ProgramBuilder
-
-        b = ProgramBuilder("t")
-        A = b.array("A", (64,))
-        S = b.array("S", (64,))
-        i, j = b.vars("i", "j")
-        b.nest(
-            [b.loop(j, 1, 64), b.loop(i, 1, 64)],
-            [b.use(reads=[S[j], A[i]])],  # S temporal on inner i
-        )
-        prog = b.build()
-        est = estimate_nest_misses(
-            prog, DataLayout.sequential(prog), prog.nests[0], hier
-        )
-        # Only A contributes: spatial misses = 8/32 per iteration.
-        assert est.l1_misses == pytest.approx(64 * 64 * (8 / 32))

@@ -112,6 +112,32 @@ class TestSearchExports:
             assert get_strategy(name).name == name
 
 
+class TestAnalysisExports:
+    """The compile-time analyses: one miss predictor, one nest analysis."""
+
+    def test_subpackage_surface(self):
+        import repro.analysis
+        from repro.analysis.nestinfo import NestAnalysis, nest_analysis
+
+        for name in (
+            "MissCostModel", "NestAnalysis", "nest_analysis",
+            "uniform_classes", "reuse_arcs", "nest_footprint_bytes",
+        ):
+            assert name in repro.analysis.__all__
+            assert getattr(repro.analysis, name) is not None
+        assert repro.analysis.nest_analysis is nest_analysis
+        assert repro.analysis.NestAnalysis is NestAnalysis
+
+    def test_superseded_estimator_is_gone(self):
+        """Miss counts come from repro.model.predictor alone."""
+        import repro.analysis
+        import repro.analysis.costmodel as costmodel
+
+        for name in ("estimate_nest_misses", "NestMissEstimate"):
+            assert name not in repro.analysis.__all__
+            assert not hasattr(costmodel, name)
+
+
 class TestObsExports:
     """The observability layer is re-exported from the package root."""
 
